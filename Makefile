@@ -12,9 +12,10 @@ test:
 	$(PYPATH) $(PY) -m pytest -x -q
 
 ## overlap stress: rerun the concurrency-sensitive suites (dispatch
-## contexts, admission policies, deadlines, and the optimisation
-## aspects — the shared-cache lock and replica builds race real
-## threads) 5x with the pytest cache disabled, to surface flakes and
+## contexts, admission policies, deadlines, the optimisation aspects —
+## the shared-cache lock and replica builds race real threads — and
+## the thread pool's zero-start, never-queue, recycled-thread hygiene
+## and fork tests) 5x with the pytest cache disabled, to surface flakes and
 ## hangs that a single ordered run hides.  CI wraps this in a hard
 ## timeout-minutes so a hung untimed wait fails the job instead of
 ## stalling it.
@@ -25,7 +26,8 @@ stress:
 			tests/parallel/test_dispatch_contexts.py \
 			tests/parallel/test_admission_policies.py \
 			tests/parallel/test_deadlines.py \
-			tests/parallel/test_optimisation.py || exit 1; \
+			tests/parallel/test_optimisation.py \
+			tests/runtime/test_thread_pool.py || exit 1; \
 	done
 
 ## fault-injection stress: rerun the whole fault matrix 5x — the

@@ -21,7 +21,8 @@ On the simulation backend, calls made from *outside* the simulator are
 transparently wrapped in a simulated process and driven to completion
 (the returned future is already resolved); calls made from *inside* a
 simulated process spawn sibling activities and return genuinely pending
-futures.  On the thread backend every submission is a spawned thread.
+futures.  On the thread backend every submission is a spawned activity
+on a pooled thread (a parked one when any is idle).
 The same application code therefore runs functionally and on the
 simulated cluster — the paper's pluggable-platform claim, applied to the
 API itself.

@@ -119,11 +119,10 @@ class TestMultiPairGate:
         assert names == {
             "overlapped-pipeline",
             "pack-routed-farm-map",
-            "resident-pool-dynfarm",
             "cpu-farm-process",
-            "io-farm-asyncio",
             "pack-marshal-process",
             "fault-retry-farm",
+            "trivial-submit",
             "five-aspect-stack",
             "nonseparable-mixed-compile",
             "pack8-cache-partial-hit",
@@ -135,6 +134,7 @@ class TestMultiPairGate:
             assert 0 < pair["max_regression"] <= 1.0
         # the landed-optimisation pairs are locked in absolutely
         caps = {p["name"]: p.get("max_ratio") for p in committed}
+        assert caps["trivial-submit"] == 17.0
         assert caps["five-aspect-stack"] == 60.0
         assert caps["nonseparable-mixed-compile"] == 0.67
         assert caps["pack8-cache-partial-hit"] == 1.15

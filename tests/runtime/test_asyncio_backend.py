@@ -116,6 +116,52 @@ class TestBridge:
         assert done == [True]
 
 
+class Fetcher:
+    def __init__(self, tag=0):
+        self.tag = tag
+
+    async def fetch(self, index):
+        await asyncio.sleep(0.001)
+        return 1
+
+
+class TestFanOutCounts:
+    """The asyncio farm's concurrency cost, counted: one backend spawn
+    (the submission activity) per submit and one loop task per piece —
+    no thread per concurrent wait, whatever the box's timing."""
+
+    def test_one_spawn_per_submit_and_one_loop_task_per_piece(self):
+        from repro.api import ParallelApp
+        from repro.parallel import WorkSplitter
+        from repro.parallel.partition import CallPiece
+
+        pieces = 16
+        app = ParallelApp(
+            StackSpec(
+                target=Fetcher,
+                work="fetch",
+                splitter=WorkSplitter(
+                    duplicates=pieces,
+                    split=lambda args, kwargs: [
+                        CallPiece(i, (i,)) for i in range(args[0])
+                    ],
+                    combine=sum,
+                ),
+                strategy="farm",
+                backend="asyncio",
+            )
+        )
+        with app:
+            app.start()
+            assert app.submit(pieces).result(timeout=30) == pieces
+            for _ in range(5):
+                spawned = app.backend.spawned
+                tasks = app.backend.tasks_started
+                assert app.submit(pieces).result(timeout=30) == pieces
+                assert app.backend.spawned - spawned == 1
+                assert app.backend.tasks_started - tasks == pieces
+
+
 class TestBaseBackendRejection:
     def test_thread_finish_rejects_coroutines(self):
         async def orphan():
