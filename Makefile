@@ -13,9 +13,11 @@ test:
 
 ## overlap stress: rerun the concurrency-sensitive suites (dispatch
 ## contexts, admission policies, deadlines, the optimisation aspects —
-## the shared-cache lock and replica builds race real threads — and
-## the thread pool's zero-start, never-queue, recycled-thread hygiene
-## and fork tests) 5x with the pytest cache disabled, to surface flakes and
+## the shared-cache lock and replica builds race real threads — the
+## thread pool's zero-start, never-queue, recycled-thread hygiene
+## and fork tests, help-on-join's exactly-once claiming, bounded pool
+## and context-record tests, and the synchronisation aspect's lock
+## creation race) 5x with the pytest cache disabled, to surface flakes and
 ## hangs that a single ordered run hides.  CI wraps this in a hard
 ## timeout-minutes so a hung untimed wait fails the job instead of
 ## stalling it.
@@ -27,7 +29,9 @@ stress:
 			tests/parallel/test_admission_policies.py \
 			tests/parallel/test_deadlines.py \
 			tests/parallel/test_optimisation.py \
-			tests/runtime/test_thread_pool.py || exit 1; \
+			tests/parallel/test_synchronisation.py \
+			tests/runtime/test_thread_pool.py \
+			tests/runtime/test_help_on_join.py || exit 1; \
 	done
 
 ## fault-injection stress: rerun the whole fault matrix 5x — the

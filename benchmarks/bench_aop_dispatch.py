@@ -37,6 +37,8 @@ conftest hook so the trajectory is tracked across PRs.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import repro.aop.plan as plan_mod
@@ -1333,6 +1335,31 @@ def test_submit_clean_farm(benchmark):
         assert benchmark(round_trip) == [
             i + 1 for i in range(FAULT_SUBMITS)
         ]
+    finally:
+        app.undeploy()
+        app.shutdown()
+
+
+def test_submit_serial_clean_farm(benchmark):
+    """One trivial farm submit at a time: ``submit(i).result()`` on the
+    clean farm, the client waiting on each call before the next.  The
+    numerator of the serial-trivial-submit pair, capped absolutely in
+    tools/bench_gates.json: the waiting client runs the submission and
+    its pieces itself when no pooled thread has started them
+    (help-on-join), instead of sleeping through five thread hand-offs."""
+    _, app = make_fault_farm_app(faulted=False)
+    try:
+        app.deploy()
+        app.start()
+        counter = itertools.count()
+
+        def round_trip():
+            i = next(counter)
+            return app.submit(i).result() == i + 1
+
+        for _ in range(20):
+            assert round_trip()
+        assert benchmark(round_trip)
     finally:
         app.undeploy()
         app.shutdown()

@@ -65,6 +65,7 @@ from typing import Any, Callable, Iterable
 from repro.aop.advice import AdviceKind, BoundAdvice, run_chain
 from repro.aop.aspect import Aspect
 from repro.aop.cflow import (
+    _LOCAL as _FLOW_LOCAL,
     bypassing_construction,
     construction_bypass,
     entered_joinpoint,
@@ -111,11 +112,6 @@ def _shim_init(self: Any, *args: Any, **kwargs: Any) -> None:
 
 _shim_new.__aop_shim__ = True  # type: ignore[attr-defined]
 _shim_init.__aop_shim__ = True  # type: ignore[attr-defined]
-
-
-class _ConstructionState(threading.local):
-    def __init__(self) -> None:
-        self.skip_init_ids: set[int] = set()
 
 
 _RECONSTRUCTORS = frozenset({"copy", "copyreg", "pickle"})
@@ -180,7 +176,6 @@ class Weaver:
         self._epoch = 0
         self._seq = 0
         self._chain_cache: dict[tuple[type, str, JoinPointKind], tuple[int, list[BoundAdvice], bool]] = {}
-        self._ctor_state = _ConstructionState()
         self._lock = threading.RLock()
         # True while any deployed pointcut is flow-sensitive; compiled
         # plans then maintain the joinpoint stack even on inert shadows.
@@ -516,7 +511,6 @@ class Weaver:
     def _weave_construction(
         self, cls: type, originals: dict[str, Any], ctor_shadow: Shadow
     ) -> None:
-        weaver = self
         orig_new = vars(cls).get("__new__", _MISSING)
         orig_init = vars(cls).get("__init__", _MISSING)
         # shims left by a previous unweave count as "not defined"
@@ -575,11 +569,11 @@ class Weaver:
             with entered_joinpoint(jp):
                 result = run_chain(entries, jp, construct)
             if isinstance(result, cls):
-                weaver._ctor_state.skip_init_ids.add(id(result))
+                _FLOW_LOCAL.flow.skip_init_ids.add(id(result))
             return result
 
         def woven_init(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
-            skip = weaver._ctor_state.skip_init_ids
+            skip = _FLOW_LOCAL.flow.skip_init_ids
             ident = id(self_obj)
             if ident in skip:
                 skip.discard(ident)

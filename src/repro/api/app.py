@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
+from repro.aop.joinpoint import JoinPointKind
 from repro.aop.plan import batched_entry
+from repro.aop.pointcut import NO
 from repro.aop.weaver import Weaver, default_weaver
 from repro.api.registry import BACKENDS, MIDDLEWARES, STRATEGIES
 from repro.api.spec import StackSpec
@@ -47,7 +49,7 @@ from repro.middleware.context import use_node
 from repro.parallel.composition import Composition, ParallelModule
 from repro.parallel.concern import Concern
 from repro.parallel.concurrency import concurrency_module
-from repro.parallel.partition.base import CallPiece
+from repro.parallel.partition.base import CallPiece, PartitionAspect
 from repro.runtime.admission import AdmissionController, Deadline, use_envelope
 from repro.runtime.backend import ExecutionBackend, use_backend
 from repro.runtime.futures import Future, FutureGroup
@@ -188,11 +190,36 @@ class ParallelApp:
         """Weave the target and deploy every module.  A spec-level fault
         schedule goes live on the ambient fault plane here and comes
         down at :meth:`undeploy` — the deployment's lifetime IS the
-        schedule's."""
+        schedule's.
+
+        Raises :class:`DeploymentError` when another live partition
+        aspect on the same weaver already duplicates the target's
+        construction: two partitions cannot both own one class."""
+        self._check_partition_conflict()
         self.composition.deploy(self.weaver, targets=[self.spec.target])
         if self.spec.faults is not None and self._faults_active is None:
             self._faults_active = install_faults(self.spec.faults)
         return self
+
+    def _check_partition_conflict(self) -> None:
+        if self.partition is None:
+            return
+        target = self.spec.target
+        for aspect in self.weaver.deployed:
+            if (
+                isinstance(aspect, PartitionAspect)
+                and aspect is not self.partition
+                and aspect.creation.matches_shadow(
+                    target, "__init__", JoinPointKind.INITIALIZATION
+                )
+                != NO
+            ):
+                raise DeploymentError(
+                    f"cannot deploy {self.composition.name!r} on "
+                    f"{target.__name__}: the live {type(aspect).__name__} "
+                    f"of another deployment already duplicates its "
+                    f"construction; undeploy that app first"
+                )
 
     def undeploy(self) -> None:
         """Undeploy every module (the target class stays woven)."""
@@ -321,15 +348,17 @@ class ParallelApp:
             return out["result"]
         return body()
 
-    def _dispatch(self, perform: Callable[[], None], name: str) -> None:
+    def _dispatch(self, perform: Callable[[], None], name: str) -> Any:
         """Run ``perform`` asynchronously in context: a spawned activity
-        inside a live execution, a driven simulation run from outside."""
+        inside a live execution (its handle is returned, to become the
+        producer of the futures ``perform`` resolves), a driven
+        simulation run from outside (``None``: already done)."""
         body = self._contextualise(perform)
         if self._outside_simulation():
             self.sim.spawn(body, name=name)
             self.sim.run()
-            return
-        self.backend.spawn(body, name=name)
+            return None
+        return self.backend.spawn(body, name=name)
 
     # -- submission ----------------------------------------------------------
 
@@ -461,7 +490,7 @@ class ParallelApp:
             )
 
         try:
-            self._dispatch(perform, name=future.name)
+            future.producer = self._dispatch(perform, name=future.name)
         except BaseException:
             # the activity never started, so perform's release will
             # never run — give the capacity back before re-raising
@@ -542,14 +571,15 @@ class ParallelApp:
     @staticmethod
     def _await_nested(result: Future, deadline: Deadline | None) -> Any:
         """Unwrap a nested future, bounding the wait by the deadline
-        (how partition-less specs honour ``timeout=``)."""
+        (how partition-less specs honour ``timeout=``).  A bounded wait
+        never helps: the activity it claimed would run to completion
+        past the deadline."""
         if deadline is None:
             return result.result()
-        try:
-            return result.result(timeout=max(deadline.remaining(), 0.0))
-        except FutureError:
+        if not result.wait(max(deadline.remaining(), 0.0)):
             deadline.check("awaiting the call's result")
-            raise
+            raise FutureError(f"future {result.name} timed out")
+        return result.result()
 
     def map(
         self,
@@ -674,13 +704,15 @@ class ParallelApp:
             for offset in range(len(chunk)):
                 futures[start + offset].admission = slot  # type: ignore[attr-defined]
             try:
-                self._dispatch(
+                producer = self._dispatch(
                     lambda s=start, p=pieces, a=slot: perform_pack(s, p, a),
                     name=f"map.pack.{method}.{start}",
                 )
             except BaseException:
                 slot.release()  # the pack activity never started
                 raise
+            for offset in range(len(chunk)):
+                futures[start + offset].producer = producer
         return group
 
     def call(self, *args: Any, **kwargs: Any) -> Any:

@@ -1,6 +1,7 @@
 """Where-am-I context for distributed execution.
 
-Tracks, per thread (= per simulated process):
+Tracks, per activity (on the context record of
+:mod:`repro.aop.cflow`; one per thread = per simulated process):
 
 * the :class:`~repro.cluster.machine.Node` the current activity runs on —
   the cost model charges CPU there and the network computes src→dst
@@ -13,9 +14,10 @@ Tracks, per thread (= per simulated process):
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
+
+from repro.aop.cflow import _LOCAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Node
@@ -28,43 +30,36 @@ __all__ = [
 ]
 
 
-class _NodeState(threading.local):
-    def __init__(self) -> None:
-        self.node: "Node | None" = None
-        self.dispatch_depth = 0
-
-
-_STATE = _NodeState()
-
-
 def current_node() -> "Node | None":
     """The node the calling activity is placed on (``None`` = unplaced,
     treated as colocated/loopback by the network model)."""
-    return _STATE.node
+    return _LOCAL.flow.node
 
 
 @contextmanager
 def use_node(node: "Node | None") -> Iterator[None]:
     """Pin the calling thread/process to ``node`` within the block."""
-    previous = _STATE.node
-    _STATE.node = node
+    flow = _LOCAL.flow
+    previous = flow.node
+    flow.node = node
     try:
         yield
     finally:
-        _STATE.node = previous
+        flow.node = previous
 
 
 def in_server_dispatch() -> bool:
     """Is this activity executing a servant method on behalf of the
     middleware?"""
-    return _STATE.dispatch_depth > 0
+    return _LOCAL.flow.server_depth > 0
 
 
 @contextmanager
 def server_dispatch() -> Iterator[None]:
     """Mark servant execution (distribution aspects must not redirect)."""
-    _STATE.dispatch_depth += 1
+    flow = _LOCAL.flow
+    flow.server_depth += 1
     try:
         yield
     finally:
-        _STATE.dispatch_depth -= 1
+        flow.server_depth -= 1

@@ -25,7 +25,7 @@ from typing import Any, Callable
 from repro.aop import abstract_pointcut, around, pointcut
 from repro.faults.schedule import fire_fault
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
-from repro.runtime.backend import ExecutionBackend, current_backend
+from repro.runtime.backend import ExecutionBackend, TaskHandle, current_backend
 from repro.runtime.dispatch import bind_dispatch, shield_dispatch
 from repro.runtime.futures import Future
 
@@ -35,8 +35,11 @@ __all__ = ["SpawnPerCall", "PooledSpawner", "AsyncInvocationAspect"]
 class SpawnPerCall:
     """The paper's literal strategy: one new activity per call."""
 
-    def spawn(self, backend: ExecutionBackend, task: Callable[[], None]) -> None:
-        backend.spawn(task, name="async-call")
+    def spawn(
+        self, backend: ExecutionBackend, task: Callable[[], None]
+    ) -> TaskHandle:
+        """Spawn ``task``; the handle lets a waiter help run it."""
+        return backend.spawn(task, name="async-call")
 
     def stop(self) -> None:
         """Nothing to tear down."""
@@ -249,5 +252,7 @@ class AsyncInvocationAspect(ParallelAspect):
                 future.set_exception(exc)
 
         self.spawned_calls += 1
-        self.spawner.spawn(backend, task)
+        # the per-call spawner hands back the task's handle, so a waiter
+        # can run the call itself (the pooled spawner returns None)
+        future.producer = self.spawner.spawn(backend, task)
         return future

@@ -12,7 +12,9 @@ only one executes the object's method at a time.
 
 from __future__ import annotations
 
-from typing import Any
+import threading
+import weakref
+from typing import Any, Callable
 
 from repro.aop import abstract_pointcut, around, pointcut
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
@@ -33,17 +35,46 @@ class SynchronisationAspect(ParallelAspect):
     def __init__(self, guarded_calls: str | None = None):
         if guarded_calls is not None:
             self.guarded_calls = pointcut(guarded_calls)
-        # id(target) -> (target, lock); the strong reference keeps ids stable
-        self._locks: dict[int, tuple[Any, Any]] = {}
+        #: id(target) -> (weak reference to the target, its lock).  Keyed
+        #: by id because targets need not be hashable; the reference is
+        #: weak so a guarded target is not kept alive by its lock
+        self._locks: dict[int, tuple[Callable[[], Any], Any]] = {}
+        #: creates each target's lock exactly once (two first callers
+        #: must share one lock); reentrant because a reference callback
+        #: may run on a thread that already holds it
+        self._guard = threading.RLock()
         self.guarded = 0
 
     def _lock_for(self, target: Any) -> Any:
         key = id(target)
         entry = self._locks.get(key)
-        if entry is None or entry[0] is not target:
-            entry = (target, current_backend().make_lock(name=f"sync.{key}"))
-            self._locks[key] = entry
-        return entry[1]
+        if entry is not None and entry[0]() is target:
+            return entry[1]
+        with self._guard:
+            entry = self._locks.get(key)
+            if entry is None or entry[0]() is not target:
+                entry = (
+                    self._reference(target, key),
+                    current_backend().make_lock(name=f"sync.{key}"),
+                )
+                self._locks[key] = entry
+            return entry[1]
+
+    def _reference(self, target: Any, key: int) -> Callable[[], Any]:
+        """A weak reference to ``target`` that drops its lock entry when
+        the target is collected (a strong one for targets that cannot be
+        weakly referenced: those stay until undeploy)."""
+
+        def forget(ref: Any) -> None:
+            with self._guard:
+                entry = self._locks.get(key)
+                if entry is not None and entry[0] is ref:
+                    del self._locks[key]
+
+        try:
+            return weakref.ref(target, forget)
+        except TypeError:
+            return lambda: target
 
     @around("guarded_calls")
     def serialise(self, jp):
@@ -54,4 +85,5 @@ class SynchronisationAspect(ParallelAspect):
             return jp.proceed()
 
     def on_undeploy(self) -> None:
-        self._locks.clear()
+        with self._guard:
+            self._locks.clear()

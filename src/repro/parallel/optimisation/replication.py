@@ -19,6 +19,7 @@ import threading
 from typing import Any, Callable
 
 from repro.aop import abstract_pointcut, around, pointcut
+from repro.aop.cflow import flag, flagged
 from repro.aop.plan import piece_view
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.parallel.partition.base import PartitionAspect
@@ -49,11 +50,10 @@ class ReplicationAspect(ParallelAspect):
         self.partition = partition
         self.replicas = replicas
         self.replicated = 0
-        self._local = threading.local()
 
     @around("replicated_calls")
     def replicate(self, jp):
-        if self.passthrough(jp) or getattr(self._local, "racing", False):
+        if self.passthrough(jp) or flag(self):
             return jp.proceed()
         peers = [w for w in self.partition.instances if w is not jp.target]
         if not peers or self.replicas < 2:
@@ -74,14 +74,12 @@ class ReplicationAspect(ParallelAspect):
         args, kwargs = jp.args, jp.kwargs
 
         def run_replica(peer: Any) -> None:
-            # replica calls must not re-replicate (flag is per thread)
-            self._local.racing = True
+            # replica calls must not re-replicate (flag is per activity)
             try:
-                first.set(("ok", getattr(peer, method)(*args, **kwargs)))
+                with flagged(self):
+                    first.set(("ok", getattr(peer, method)(*args, **kwargs)))
             except Exception as exc:  # noqa: BLE001 - raced result
                 first.set(("error", exc))
-            finally:
-                self._local.racing = False
 
         backend.spawn(run_primary, name="replica.primary")
         for peer in extra:

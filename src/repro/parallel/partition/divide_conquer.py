@@ -25,10 +25,10 @@ Hooks (constructor arguments):
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Sequence
 
 from repro.aop import abstract_pointcut, around, pointcut
+from repro.aop.cflow import flag, flagged
 from repro.api.registry import register_strategy
 from repro.errors import AdviceError
 from repro.middleware.serialize import Serializer
@@ -89,7 +89,6 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
         self.max_depth = max_depth
         self._make_worker = make_worker
         self._cloner = Serializer(copy=True)
-        self._depth = threading.local()
         self._init_dispatch_state()
         self.divisions = 0
         self.workers_created = 0
@@ -113,7 +112,7 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
     def conquer(self, jp):
         if self.passthrough(jp):
             return jp.proceed()
-        depth = getattr(self._depth, "value", 0)
+        depth = flag(self, 0)
         if depth >= self.max_depth or not self.should_divide(
             jp.args, jp.kwargs, depth
         ):
@@ -124,7 +123,7 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
         reentered = ambient is not None and ambient.context_id in self.contexts
         if depth == 0 and not reentered:
             # the top-level call owns the ticket; recursive divisions
-            # (below, possibly on other activities whose thread-local
+            # (below, possibly on other activities whose per-activity
             # depth restarts at 0) account into it via the ambient ticket
             with self.dispatch_scope(f"divide-conquer.{jp.name}") as ctx:
                 return self._divide_and_merge(jp, depth, ctx)
@@ -141,40 +140,39 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
                 self.leaves += 1
             return jp.proceed()
         outcomes = []
-        self._depth.value = depth + 1
         try:
-            for piece in pieces:
-                if ctx is not None:
-                    # deadline/shed boundary per branch: an expired
-                    # recursion stops dividing wherever it is in the
-                    # tree and unwinds through the top-level ticket
-                    ctx.check_deadline("dividing sub-problems")
-                    ctx.record(piece)
-                worker = self.make_worker(jp.target)
-                self.remember_branch(worker)
+            with flagged(self, depth + 1):
+                for piece in pieces:
+                    if ctx is not None:
+                        # deadline/shed boundary per branch: an expired
+                        # recursion stops dividing wherever it is in the
+                        # tree and unwinds through the top-level ticket
+                        ctx.check_deadline("dividing sub-problems")
+                        ctx.record(piece)
+                    worker = self.make_worker(jp.target)
+                    self.remember_branch(worker)
 
-                def pick(attempt: int, first=worker, proto=jp.target):
-                    # attempt 0 uses the branch clone just built; a retry
-                    # abandons the (possibly poisoned) clone and recurses
-                    # on a FRESH clone of the prototype
-                    if attempt == 0:
-                        return first, None
-                    fresh = self.make_worker(proto)
-                    self.remember_branch(fresh)
-                    return fresh, None
+                    def pick(attempt: int, first=worker, proto=jp.target):
+                        # attempt 0 uses the branch clone just built; a
+                        # retry abandons the (possibly poisoned) clone and
+                        # recurses on a FRESH clone of the prototype
+                        if attempt == 0:
+                            return first, None
+                        fresh = self.make_worker(proto)
+                        self.remember_branch(fresh)
+                        return fresh, None
 
-                # recurse through the branch worker's compiled plan entry;
-                # a divide() returning PackedPiece groups recurses through
-                # the compiled batched entry (one advice pass per pack)
-                outcomes.append(
-                    dispatch_with_retry(ctx, pick, jp.name, piece)
-                )
+                    # recurse through the branch worker's compiled plan
+                    # entry; a divide() returning PackedPiece groups
+                    # recurses through the compiled batched entry (one
+                    # advice pass per pack)
+                    outcomes.append(
+                        dispatch_with_retry(ctx, pick, jp.name, piece)
+                    )
         except BaseException as exc:
             if ctx is not None:
                 ctx.fail(exc)
             raise
-        finally:
-            self._depth.value = depth
         results: list = []
         for piece, outcome in zip(pieces, outcomes):
             if ctx is not None:

@@ -21,6 +21,7 @@ import threading
 from typing import Any
 
 from repro.aop import around
+from repro.aop.cflow import flag, flagged
 from repro.aop.plan import BatchJoinPoint
 from repro.api.registry import register_strategy
 from repro.parallel.composition import ParallelModule
@@ -73,7 +74,6 @@ class DynamicFarmAspect(PartitionAspect):
         #: amortise spawns: one resident dispatcher activity per worker
         self.resident_pool = resident_pool
         self._pool: PooledSpawner | None = None
-        self._internal = threading.local()
 
     # -- duplication: same broadcast as the static farm ---------------------
 
@@ -104,7 +104,7 @@ class DynamicFarmAspect(PartitionAspect):
 
     @around("work")
     def dispatch(self, jp):
-        if self.passthrough(jp) or getattr(self._internal, "active", False):
+        if self.passthrough(jp) or flag(self):
             return jp.proceed()
         if jp.from_advice:
             return jp.proceed()
@@ -144,31 +144,32 @@ class DynamicFarmAspect(PartitionAspect):
 
             def worker_loop(worker: Any, index: int) -> None:
                 # Calls from here must skip this advice but still traverse
-                # synchronisation/distribution — flagged per-thread.  Each
+                # synchronisation/distribution — flagged per activity.  Each
                 # pulled piece re-enters the (remaining) chain through the
                 # worker's compiled plan entry (packs go through the compiled
                 # batched entry — one advice pass per pack), re-fetched per
                 # piece so an aspect (un)plugged mid-run applies to the
                 # remaining work.
-                self._internal.active = True
                 try:
                     # a cancelled ticket (shed / deadline expired) drops
                     # its remaining queued pieces: the dispatcher goes
                     # straight back to serving other calls
-                    while not ctx.cancelled:
-                        ok, piece = queue.try_get()
-                        if not ok:
-                            break
-                        results[piece.index] = dispatch_with_retry(
-                            ctx, pick_from(index), method_name, piece
-                        )
-                        # ledger unit is ITEMS (a k-item pack counts k),
-                        # matching route_pack's charge so the demand-aware
-                        # pack steering compares like with like
-                        with self._dispatch_lock:
-                            self.served[index] += (
-                                len(getattr(piece, "items", ())) or 1
+                    with flagged(self):
+                        while not ctx.cancelled:
+                            ok, piece = queue.try_get()
+                            if not ok:
+                                break
+                            results[piece.index] = dispatch_with_retry(
+                                ctx, pick_from(index), method_name, piece
                             )
+                            # ledger unit is ITEMS (a k-item pack counts
+                            # k), matching route_pack's charge so the
+                            # demand-aware pack steering compares like
+                            # with like
+                            with self._dispatch_lock:
+                                self.served[index] += (
+                                    len(getattr(piece, "items", ())) or 1
+                                )
                 except BaseException as exc:  # noqa: BLE001 - waiter re-raises
                     ctx.fail(exc)
                     with state_lock:
@@ -181,7 +182,6 @@ class DynamicFarmAspect(PartitionAspect):
                     if not isinstance(exc, Exception):
                         raise
                 finally:
-                    self._internal.active = False
                     with state_lock:
                         state["remaining"] -= 1
                         drained = state["remaining"] == 0

@@ -27,6 +27,7 @@ import threading
 from typing import Any
 
 from repro.aop import around
+from repro.aop.cflow import flag, flagged
 from repro.aop.plan import BatchJoinPoint
 from repro.api.registry import register_strategy
 from repro.parallel.composition import ParallelModule
@@ -79,9 +80,6 @@ class FarmAspect(PartitionAspect):
         #: long-lived per-worker dispatcher activities (opt-in)
         self.resident_pool = resident_pool
         self._pool: PooledSpawner | None = None
-        #: per-thread re-entry flag: pooled piece dispatches re-enter the
-        #: woven call from pool activities where jp.from_advice is False
-        self._internal = threading.local()
 
     # -- duplication (constructor parameters broadcast to all workers) ------
 
@@ -121,7 +119,7 @@ class FarmAspect(PartitionAspect):
 
     @around("work")
     def split(self, jp):
-        if self.passthrough(jp) or getattr(self._internal, "active", False):
+        if self.passthrough(jp) or flag(self):
             return jp.proceed()
         if jp.from_advice:
             return jp.proceed()
@@ -172,13 +170,13 @@ class FarmAspect(PartitionAspect):
 
         def run_piece(piece: Any) -> None:
             # pool activities re-enter the woven call with from_advice
-            # False — the per-thread flag keeps this advice out of the way
-            self._internal.active = True
+            # False — the per-activity flag keeps this advice out of the way
             try:
                 if not ctx.cancelled:
-                    outcomes[piece.index] = dispatch_with_retry(
-                        ctx, self._pick(piece.index), method_name, piece
-                    )
+                    with flagged(self):
+                        outcomes[piece.index] = dispatch_with_retry(
+                            ctx, self._pick(piece.index), method_name, piece
+                        )
             except BaseException as exc:  # noqa: BLE001 - waiter re-raises
                 ctx.fail(exc)
                 with state_lock:
@@ -187,7 +185,6 @@ class FarmAspect(PartitionAspect):
                 if not isinstance(exc, Exception):
                     raise
             finally:
-                self._internal.active = False
                 with state_lock:
                     state["remaining"] -= 1
                     drained = state["remaining"] == 0

@@ -32,9 +32,11 @@ serves any number of overlapped in-flight splits.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from typing import Any
 
 from repro.aop import around, pointcut
+from repro.aop.cflow import flag, flagged
 from repro.aop.plan import BatchJoinPoint, batched_entry, piece_view
 from repro.api.registry import register_strategy
 from repro.parallel.composition import ParallelModule
@@ -95,10 +97,6 @@ class PipelineSplitAspect(PartitionAspect):
         #: long-lived head-feeder activities (opt-in)
         self.resident_pool = resident_pool
         self._pool: PooledSpawner | None = None
-        #: per-thread re-entry flag: pooled feeds and retry re-feeds
-        #: re-enter the woven call from activities where jp.from_advice
-        #: is False
-        self._internal = threading.local()
 
     # -- block 1: object duplication ----------------------------------------
 
@@ -138,9 +136,9 @@ class PipelineSplitAspect(PartitionAspect):
     @around("work")
     def split(self, jp):
         # Core-functionality calls only: forwarded (advice-made) calls,
-        # pooled feeds / retry re-feeds (per-thread flag) and
+        # pooled feeds / retry re-feeds (per-activity flag) and
         # servant-side execution pass through untouched.
-        if self.passthrough(jp) or getattr(self._internal, "active", False):
+        if self.passthrough(jp) or flag(self):
             return jp.proceed()
         if jp.from_advice:
             return jp.proceed()
@@ -187,21 +185,15 @@ class PipelineSplitAspect(PartitionAspect):
         """Feed one piece into the head stage, routing a feed-side
         failure through the collector's retry plane (latch when none is
         armed) instead of aborting the whole call's feed loop."""
-        flagged = self._pool is not None and getattr(
-            self._internal, "active", False
-        ) is False
-        if flagged:
-            # pooled feeds arrive on resident activities where
-            # jp.from_advice is False — keep this aspect out of the way
-            self._internal.active = True
+        # pooled feeds arrive on resident activities where
+        # jp.from_advice is False — keep this aspect out of the way
+        guard = flagged(self) if self._pool is not None else nullcontext()
         try:
             if not ctx.cancelled:
-                dispatch_piece(head, name, piece)
+                with guard:
+                    dispatch_piece(head, name, piece)
         except Exception as exc:
             ctx.fail(exc, piece=piece)
-        finally:
-            if flagged:
-                self._internal.active = False
 
     def _arm_refeed(self, ctx: Any, head: Any, name: str) -> None:
         """Install the collector's re-dispatch hook: a failed piece is
@@ -214,15 +206,12 @@ class PipelineSplitAspect(PartitionAspect):
 
         def refeed(piece: CallPiece) -> None:
             def run() -> None:
-                self._internal.active = True
                 try:
-                    with use_dispatch(ctx):
+                    with flagged(self), use_dispatch(ctx):
                         if not ctx.cancelled:
                             dispatch_piece(head, name, piece)
                 except Exception as exc:  # noqa: BLE001 - routed to collector
                     ctx.fail(exc, piece=piece)
-                finally:
-                    self._internal.active = False
 
             backend.spawn(shield_dispatch(run), name="pipeline.refeed")
 

@@ -48,6 +48,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro.aop.cflow import _LOCAL
 from repro.errors import AdmissionRejected, CallShed, DeadlineExceeded
 
 __all__ = [
@@ -465,14 +466,6 @@ class AdmissionController:
 # ---------------------------------------------------------------------------
 
 
-class _EnvelopeState(threading.local):
-    def __init__(self) -> None:
-        self.stack: list[AdmissionSlot] = []
-
-
-_ENVELOPES = _EnvelopeState()
-
-
 @contextmanager
 def use_envelope(slot: AdmissionSlot | None) -> Iterator[AdmissionSlot | None]:
     """Make ``slot`` the ambient admission envelope for this activity.
@@ -482,7 +475,7 @@ def use_envelope(slot: AdmissionSlot | None) -> Iterator[AdmissionSlot | None]:
     if slot is None:
         yield None
         return
-    stack = _ENVELOPES.stack
+    stack = _LOCAL.flow.envelopes
     stack.append(slot)
     try:
         yield slot
@@ -492,5 +485,5 @@ def use_envelope(slot: AdmissionSlot | None) -> Iterator[AdmissionSlot | None]:
 
 def current_envelope() -> AdmissionSlot | None:
     """The innermost ambient admission slot, or ``None``."""
-    stack = _ENVELOPES.stack
+    stack = _LOCAL.flow.envelopes
     return stack[-1] if stack else None

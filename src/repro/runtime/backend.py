@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import abc
 import inspect
-import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro.aop.cflow import _LOCAL
 from repro.errors import BackendError
 from repro.runtime.dispatch import bind_dispatch
 
@@ -51,6 +51,15 @@ class TaskHandle(abc.ABC):
     @abc.abstractmethod
     def done(self) -> bool:
         """Has the activity finished (successfully or not)?"""
+
+    def help(self) -> bool:
+        """Run the activity on the calling thread if no other thread has
+        started it; True when it ran here (help-on-join).
+
+        The default never helps: only backends whose activities can move
+        between threads (the thread backend's pooled tasks) override it.
+        """
+        return False
 
 
 class ExecutionBackend(abc.ABC):
@@ -167,12 +176,6 @@ def _close_awaitables(outcome: Any) -> None:
             pass
 
 
-class _BackendState(threading.local):
-    def __init__(self) -> None:
-        self.stack: list[ExecutionBackend] = []
-
-
-_STATE = _BackendState()
 _DEFAULT: list[ExecutionBackend | None] = [None]
 
 
@@ -188,8 +191,9 @@ def current_backend() -> ExecutionBackend:
     Falls back to the process-wide default; creating the default
     ThreadBackend lazily avoids import cycles.
     """
-    if _STATE.stack:
-        return _STATE.stack[-1]
+    stack = _LOCAL.flow.backends
+    if stack:
+        return stack[-1]
     if _DEFAULT[0] is None:
         from repro.runtime.threads import ThreadBackend
 
@@ -202,8 +206,9 @@ def use_backend(backend: ExecutionBackend) -> Iterator[ExecutionBackend]:
     """Make ``backend`` current for this thread within the block."""
     if not isinstance(backend, ExecutionBackend):
         raise BackendError(f"not an ExecutionBackend: {backend!r}")
-    _STATE.stack.append(backend)
+    stack = _LOCAL.flow.backends
+    stack.append(backend)
     try:
         yield backend
     finally:
-        _STATE.stack.pop()
+        stack.pop()

@@ -30,11 +30,11 @@ its call's.
 from __future__ import annotations
 
 import itertools
-import threading
 import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro.aop.cflow import _LOCAL
 __all__ = [
     "current_dispatch",
     "use_dispatch",
@@ -49,13 +49,6 @@ __all__ = [
 ]
 
 
-class _DispatchState(threading.local):
-    def __init__(self) -> None:
-        self.stack: list[Any] = []
-        self.pieces: list[Any] = []
-
-
-_STATE = _DispatchState()
 _IDS = itertools.count(1)
 #: live tickets by id — weak, so a finished call's ticket vanishes with it
 _LIVE: "weakref.WeakValueDictionary[int, Any]" = weakref.WeakValueDictionary()
@@ -75,7 +68,7 @@ def register_dispatch(ticket: Any) -> Any:
 
 def current_dispatch() -> Any | None:
     """The innermost ambient ticket for this activity, or ``None``."""
-    stack = _STATE.stack
+    stack = _LOCAL.flow.tickets
     return stack[-1] if stack else None
 
 
@@ -101,7 +94,7 @@ def use_dispatch(ticket: Any | None) -> Iterator[Any | None]:
     if ticket is None:
         yield None
         return
-    stack = _STATE.stack
+    stack = _LOCAL.flow.tickets
     stack.append(ticket)
     try:
         yield ticket
@@ -117,7 +110,7 @@ def current_piece() -> Any | None:
     pipeline's forwarding advice, running hops and threads away from the
     split, can still tell WHICH head piece a tail result belongs to
     (keyed deposits, the dedup retry/re-dispatch needs)."""
-    pieces = _STATE.pieces
+    pieces = _LOCAL.flow.pieces
     return pieces[-1] if pieces else None
 
 
@@ -128,7 +121,7 @@ def use_piece(piece: Any | None) -> Iterator[Any | None]:
     if piece is None:
         yield None
         return
-    pieces = _STATE.pieces
+    pieces = _LOCAL.flow.pieces
     pieces.append(piece)
     try:
         yield piece

@@ -6,6 +6,16 @@ the value is computed blocks the client transparently.  Our
 :class:`Future` implements exactly that on top of whichever execution
 backend is current, and :class:`FutureGroup` is the join-all helper the
 partition aspects use to gather split-call results.
+
+A future may carry the spawned activity that resolves it
+(``producer``).  :meth:`Future.result` then *helps on join*: if no
+thread has started that activity yet, the waiting caller runs it
+itself, so a client blocked on its result does the work instead of
+waiting for a pooled thread to be scheduled.  ``result(timeout)``
+bounds only the wait for ANOTHER thread — an activity the caller has
+claimed runs to completion, as with ``ForkJoinTask.get``.  Waits that
+must return control at a deadline use :meth:`Future.wait`, which never
+helps.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import FutureError
-from repro.runtime.backend import current_backend
+from repro.runtime.backend import TaskHandle, current_backend
 
 __all__ = ["Future", "FutureGroup"]
 
@@ -29,6 +39,9 @@ class Future:
         self._event = self._backend.make_event(name=f"{name}.ready")
         self._value: Any = _PENDING
         self._exception: BaseException | None = None
+        #: the spawned activity that resolves this future, if any — a
+        #: waiter runs it itself when no thread has started it
+        self.producer: TaskHandle | None = None
 
     # -- producer side -----------------------------------------------------
 
@@ -67,13 +80,29 @@ class Future:
         return self._value is not _PENDING or self._exception is not None
 
     def result(self, timeout: float | None = None) -> Any:
-        """Wait-by-necessity read: blocks until resolved."""
+        """Wait-by-necessity read: blocks until resolved.
+
+        Helps on join: when the ``producer`` activity has not been
+        started by any thread, the caller runs it here first.
+        ``timeout`` bounds only the wait for another thread; an activity
+        the caller claimed runs to completion whatever the timeout.
+        """
         if not self.resolved:
+            producer = self.producer
+            if producer is not None:
+                producer.help()
             if not self._event.wait(timeout):
                 raise FutureError(f"future {self.name} timed out")
         if self._exception is not None:
             raise self._exception
         return self._value
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Wait for resolution WITHOUT helping; False on timeout.
+
+        For deadline-bounded waits: an activity claimed by the waiter
+        would run to completion past the deadline."""
+        return self.resolved or self._event.wait(timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self.resolved else "pending"

@@ -11,6 +11,21 @@ on their pieces, pipeline stages on queues, divide-and-conquer parents
 on their children), so a busy pool grows instead of queueing.  A parked
 thread exits after :data:`KEEP_ALIVE` idle seconds.
 
+Help on join: an activity is claimed exactly once, by whichever side
+gets to it first — the pooled thread it was handed to, or a thread
+waiting in :meth:`Future.result() <repro.runtime.futures.Future.result>`
+on the future it resolves (:meth:`ThreadTask.help`).  A waiter that
+claims the activity runs it on its own thread instead of sleeping until
+another thread (which must first win the GIL) gets round to it.  The
+pooled thread woken for a task a waiter took is reused by the next
+spawn before any other thread is woken or started, so helping never
+grows the pool.
+
+Every activity, pooled or helped, runs on a fresh per-activity context
+record (:func:`repro.aop.cflow.swap_flow`): it sees exactly the state a
+newly started thread sees, and a helping waiter gets its own record
+back afterwards, even when the activity raised.
+
 Because of the GIL this buys no CPU-bound speed-up in CPython; it gives
 the correct *semantics* (overlap, synchronisation, futures) for tests and
 examples, while the performance experiments run on the simulation
@@ -24,6 +39,7 @@ import queue as _queue
 import threading
 from typing import Any, Callable
 
+from repro.aop.cflow import swap_flow
 from repro.api.registry import register_backend
 from repro.runtime.backend import ExecutionBackend, TaskHandle
 
@@ -36,7 +52,7 @@ _PARKED_NAME = "threads.parked"
 
 
 class ThreadTask(TaskHandle):
-    """Handle on one activity, run by a parked or a new thread."""
+    """Handle on one activity, run by a pooled thread or by a waiter."""
 
     def __init__(self, fn: Callable[[], Any], name: str):
         self.name = name
@@ -47,7 +63,9 @@ class ThreadTask(TaskHandle):
         #: held until the activity finishes; joiners wait on it
         self._running = threading.Lock()
         self._running.acquire()
-        _Parked.hand_off(self)
+        #: the pooled thread the task was handed to; the task is still
+        #: unclaimed while that thread's ``task`` slot holds it
+        self._parked = _Parked.hand_off(self)
 
     def _run(self) -> None:
         try:
@@ -58,6 +76,21 @@ class ThreadTask(TaskHandle):
             self._fn = None
             self._done = True
             self._running.release()
+
+    def help(self) -> bool:
+        """Run the activity on the calling thread if no pooled thread has
+        started it yet; False when another thread has claimed it.
+
+        The activity runs on a fresh context record and the caller's
+        record is put back afterwards, whatever the activity did."""
+        if not _Parked.claim(self):
+            return False
+        saved = swap_flow()
+        try:
+            self._run()
+        finally:
+            swap_flow(saved)
+        return True
 
     def join(self) -> Any:
         """Wait for the activity; return its result or re-raise its
@@ -77,13 +110,22 @@ class ThreadTask(TaskHandle):
 
 class _Parked:
     """One pooled thread: runs an activity, then parks on ``wake`` (held
-    while parked) until a spawn hands it the next one."""
+    while parked) until a spawn hands it the next one.
+
+    ``task`` is the activity handed to the thread and not yet claimed.
+    It is read and cleared only under ``idle_lock``: the thread clears
+    it to start the activity, a helping waiter to run it itself
+    (:meth:`claim`), so each activity runs exactly once."""
 
     __slots__ = ("wake", "task")
 
     #: idle threads, most recently parked last; spawns take from the end,
     #: so the oldest idle threads are the ones whose keep-alive runs out
     idle: list["_Parked"] = []
+    #: threads already woken for a task that a waiter took: each is on
+    #: its way to look for its task, so the next spawn hands it one
+    #: instead of waking or starting another thread
+    spare: list["_Parked"] = []
     idle_lock = threading.Lock()
 
     def __init__(self, task: ThreadTask):
@@ -92,32 +134,58 @@ class _Parked:
         self.task: ThreadTask | None = task
 
     @classmethod
-    def hand_off(cls, task: ThreadTask) -> None:
-        """Hand ``task`` to an idle thread, or start a new one."""
+    def hand_off(cls, task: ThreadTask) -> "_Parked":
+        """Hand ``task`` to a spare or idle thread, or start a new one."""
         with cls.idle_lock:
+            if cls.spare:
+                parked = cls.spare.pop()
+                parked.task = task
+                return parked
             parked = cls.idle.pop() if cls.idle else None
+            if parked is not None:
+                parked.task = task
         if parked is None:
             parked = cls(task)
             threading.Thread(
                 target=parked._serve, name=task.name, daemon=True
             ).start()
         else:
-            parked.task = task
             parked.wake.release()
+        return parked
+
+    @classmethod
+    def claim(cls, task: ThreadTask) -> bool:
+        """Take ``task`` away from its pooled thread before the thread
+        starts it; False when the thread already has."""
+        parked = task._parked
+        with cls.idle_lock:
+            if parked.task is not task:
+                return False
+            parked.task = None
+            cls.spare.append(parked)
+        return True
 
     def _serve(self) -> None:
         thread = threading.current_thread()
+        idle_lock = _Parked.idle_lock
         while True:
-            task, self.task = self.task, None
-            thread.name = task.name  # type: ignore[union-attr]
-            task._run()  # type: ignore[union-attr]
-            del task  # a parked thread must not pin a finished result
-            thread.name = _PARKED_NAME
-            with _Parked.idle_lock:
-                _Parked.idle.append(self)
+            with idle_lock:
+                task, self.task = self.task, None
+                if task is None:
+                    # a waiter took this thread's task: park again
+                    _Parked.spare.remove(self)
+                    _Parked.idle.append(self)
+            if task is not None:
+                thread.name = task.name
+                swap_flow()  # each activity starts on a fresh record
+                task._run()
+                del task  # a parked thread must not pin a finished result
+                thread.name = _PARKED_NAME
+                with idle_lock:
+                    _Parked.idle.append(self)
             if self.wake.acquire(timeout=KEEP_ALIVE):
                 continue
-            with _Parked.idle_lock:
+            with idle_lock:
                 if self in _Parked.idle:
                     _Parked.idle.remove(self)
                     return
@@ -130,6 +198,7 @@ class _Parked:
         # the child has none of the parent's parked threads, and the
         # registry lock may have been held by a parent thread mid-fork
         cls.idle = []
+        cls.spare = []
         cls.idle_lock = threading.Lock()
 
 

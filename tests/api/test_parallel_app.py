@@ -456,3 +456,41 @@ class TestOpenRegistry:
             )
         finally:
             STRATEGIES.unregister(name)
+
+
+class TestTwoLiveDeployments:
+    def test_second_partition_on_one_class_is_a_deployment_error(self):
+        """Two live farm apps over one class cannot both duplicate its
+        construction: deploying the second names the conflict (its
+        start() used to crash deep in construction with a TypeError),
+        and the first app keeps serving throughout."""
+
+        class Service:
+            def __init__(self, tag=0):
+                self.tag = tag
+
+            def handle(self, x):
+                return x + 1
+
+        def farm_app():
+            return ParallelApp(
+                StackSpec(
+                    target=Service,
+                    work="handle",
+                    splitter=WorkSplitter(duplicates=2, combine=lambda rs: rs[0]),
+                    strategy="farm",
+                    backend="thread",
+                )
+            )
+
+        first, second = farm_app(), farm_app()
+        with first:
+            first.start()
+            assert first.submit(1).result(timeout=10) == 2
+            with pytest.raises(DeploymentError, match="already duplicates"):
+                second.deploy()
+            assert first.submit(2).result(timeout=10) == 3
+        # once the first is gone the class is free again
+        with second:
+            second.start()
+            assert second.submit(3).result(timeout=10) == 4

@@ -123,6 +123,7 @@ class TestMultiPairGate:
             "pack-marshal-process",
             "fault-retry-farm",
             "trivial-submit",
+            "serial-trivial-submit",
             "five-aspect-stack",
             "nonseparable-mixed-compile",
             "pack8-cache-partial-hit",
@@ -135,6 +136,7 @@ class TestMultiPairGate:
         # the landed-optimisation pairs are locked in absolutely
         caps = {p["name"]: p.get("max_ratio") for p in committed}
         assert caps["trivial-submit"] == 17.0
+        assert caps["serial-trivial-submit"] == 2.2
         assert caps["five-aspect-stack"] == 60.0
         assert caps["nonseparable-mixed-compile"] == 0.67
         assert caps["pack8-cache-partial-hit"] == 1.15

@@ -32,6 +32,7 @@ from repro.aop.cflow import (
     entered_advice,
     entered_joinpoint,
     bypassing_construction,
+    flagged,
     flow_state,
 )
 from repro.aop.weaver import default_weaver
@@ -46,7 +47,6 @@ from repro.parallel import WorkSplitter
 from repro.parallel.optimisation.replication import ReplicationAspect
 from repro.parallel.partition import CallPiece
 from repro.runtime import ThreadBackend, threads
-from repro.runtime import backend as backend_module
 from repro.runtime.admission import current_envelope, use_envelope
 from repro.runtime.backend import current_backend, use_backend
 from repro.runtime.dispatch import (
@@ -243,7 +243,7 @@ def test_spawn_never_waits_for_a_busy_thread():
 # ---------------------------------------------------------------------------
 
 
-def _ambient_state(aspects=()):
+def _ambient_state():
     flow = flow_state()
     return dict(
         ticket=current_dispatch(),
@@ -251,16 +251,14 @@ def _ambient_state(aspects=()):
         envelope=current_envelope(),
         node=current_node(),
         server_dispatch=in_server_dispatch(),
-        backend_stack=list(backend_module._STATE.stack),
+        backend_stack=list(flow.backends),
         flow=(list(flow.stack), flow.advice_depth, flow.construction_bypass),
-        skip_init=set(default_weaver._ctor_state.skip_init_ids),
-        aspect_flags=[
-            getattr(local, attr, default) for local, attr, default in aspects
-        ],
+        skip_init=set(flow.skip_init_ids),
+        aspect_flags=dict(flow.flags),
     )
 
 
-def _clean_state(backend, aspects=()):
+def _clean_state(backend):
     return dict(
         ticket=None,
         piece=None,
@@ -271,11 +269,11 @@ def _clean_state(backend, aspects=()):
         backend_stack=[backend],
         flow=([], 0, 0),
         skip_init=set(),
-        aspect_flags=[default for _, _, default in aspects],
+        aspect_flags={},
     )
 
 
-def _probe_parked(backend, aspects=()):
+def _probe_parked(backend):
     """Run one state probe on every parked thread at once (a barrier
     keeps each probe on its own thread); returns the observed states."""
     count = max(threads.parked_threads(), 1)
@@ -283,7 +281,7 @@ def _probe_parked(backend, aspects=()):
 
     def probe():
         barrier.wait()
-        return _ambient_state(aspects)
+        return _ambient_state()
 
     handles = [backend.spawn(probe, name="hygiene.probe") for _ in range(count)]
     return [handle.join() for handle in handles]
@@ -302,7 +300,8 @@ def test_recycled_thread_sees_no_state_from_a_task_that_raised():
             other
         ), server_dispatch(), entered_advice(), entered_joinpoint(
             object()
-        ), bypassing_construction():
+        ), bypassing_construction(), flagged("dirty"):
+            flow_state().skip_init_ids.add(-1)
             assert current_backend() is other
             raise RuntimeError("mid-flight")
 
@@ -336,15 +335,9 @@ def test_failed_submission_leaves_recycled_threads_clean(strategy):
         )
         with pytest.raises(ValueError, match="negative payload"):
             app.submit(*bad).result(timeout=10)
-        partition = app.partition
-        aspects = [
-            (partition._depth, "value", 0)
-            if strategy == "divide-conquer"
-            else (partition._internal, "active", False)
-        ]
         wait_until(lambda: threads.parked_threads() > 0)
-        for state in _probe_parked(app.backend, aspects):
-            assert state == _clean_state(app.backend, aspects)
+        for state in _probe_parked(app.backend):
+            assert state == _clean_state(app.backend)
         # and the stack still serves calls correctly afterwards
         assert app.submit(*payload(2)).result(timeout=10) == expected(2)
 
@@ -364,10 +357,9 @@ def test_replica_race_flag_is_reset_on_recycled_threads():
     with use_backend(backend):
         with pytest.raises(KeyError):
             partition.instances[0].query("k")
-    aspects = [(replication._local, "racing", False)]
     wait_until(lambda: threads.parked_threads() > 0)
-    for state in _probe_parked(backend, aspects):
-        assert state == _clean_state(backend, aspects)
+    for state in _probe_parked(backend):
+        assert state == _clean_state(backend)
 
 
 # ---------------------------------------------------------------------------
